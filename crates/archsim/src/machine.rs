@@ -2,7 +2,6 @@
 //! L3 with directory-based invalidation, mesh NoC, and DRAM controllers.
 
 use crate::{AddressMap, Cache, DramModel, MemStats, MeshNoc, Region, SystemConfig};
-use std::collections::HashMap;
 
 /// Cache level (or main memory) at which an access was satisfied.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -79,8 +78,9 @@ pub struct Machine {
     noc: MeshNoc,
     dram: DramModel,
     stats: MemStats,
-    /// line address -> bitmask of cores whose private L2 holds the line.
-    directory: HashMap<u64, u32>,
+    /// Line number (`addr >> log2(line_bytes)`) over the address map's
+    /// footprint -> bitmask of cores whose private L2 holds the line.
+    directory: Box<[u32]>,
 }
 
 impl Machine {
@@ -121,7 +121,7 @@ impl Machine {
             noc: MeshNoc::new(cfg.noc),
             dram: DramModel::new(cfg.dram),
             stats: MemStats::new(),
-            directory: HashMap::new(),
+            directory: vec![0; map.footprint().div_ceil(cfg.line_bytes as u64) as usize].into(),
             cfg,
             map,
         })
@@ -150,6 +150,12 @@ impl Machine {
     #[inline]
     fn line_addr(&self, addr: u64) -> u64 {
         addr & !(self.cfg.line_bytes as u64 - 1)
+    }
+
+    /// The directory's sharer bitmask for a line address.
+    #[inline]
+    fn sharers(&mut self, line_addr: u64) -> &mut u32 {
+        &mut self.directory[(line_addr >> self.cfg.line_bytes.trailing_zeros()) as usize]
     }
 
     #[inline]
@@ -210,9 +216,8 @@ impl Machine {
             self.stats.record(region, Level::L2);
             return AccessResult { level: Level::L2, latency };
         }
-        // Newly filled into this core's L2: update the directory (one
-        // hash probe — this runs on every private-cache miss).
-        *self.directory.entry(line).or_insert(0) |= 1 << core;
+        // Newly filled into this core's L2: record the sharer.
+        *self.sharers(line) |= 1 << core;
 
         // ---- L3 (over the NoC) ----
         let bank = self.bank_of(line);
@@ -248,22 +253,16 @@ impl Machine {
         let Some(victim_line) = evicted else { return };
         // Inclusion: L1 cannot keep a line its L2 lost.
         let l1_dirty = self.l1[core].invalidate(victim_line).unwrap_or(false);
-        if let Some(shares) = self.directory.get_mut(&victim_line) {
-            *shares &= !(1 << core);
-            if *shares == 0 {
-                self.directory.remove(&victim_line);
-            }
-        }
+        *self.sharers(victim_line) &= !(1 << core);
         if writeback.is_some() || l1_dirty {
-            let region = self.map.classify(victim_line);
             // The read-only OAG arrays are never dirty (paper §V-A notes
             // their lines are dropped, not written back); assert the model
             // agrees rather than special-casing.
-            debug_assert!(!region.is_oag(), "OAG lines must never be dirty");
+            debug_assert!(!self.map.classify(victim_line).is_oag(), "OAG lines are never dirty");
             let bank = self.bank_of(victim_line);
             if !self.l3_banks[bank].mark_dirty(victim_line) {
                 // L3 already lost the line: the writeback goes to DRAM.
-                self.stats.record_writeback(region);
+                self.stats.record_writeback(self.map.classify(victim_line));
             }
         }
     }
@@ -275,12 +274,11 @@ impl Machine {
     fn handle_l3_eviction(&mut self, victim_line: u64, l3_dirty: bool) {
         let mut dirty = l3_dirty;
         if self.cfg.l3_inclusive {
-            if let Some(shares) = self.directory.remove(&victim_line) {
-                for core in 0..self.cfg.num_cores {
-                    if shares & (1 << core) != 0 {
-                        dirty |= self.l1[core].invalidate(victim_line).unwrap_or(false);
-                        dirty |= self.l2[core].invalidate(victim_line).unwrap_or(false);
-                    }
+            let shares = std::mem::take(self.sharers(victim_line));
+            for core in 0..self.cfg.num_cores {
+                if shares & (1 << core) != 0 {
+                    dirty |= self.l1[core].invalidate(victim_line).unwrap_or(false);
+                    dirty |= self.l2[core].invalidate(victim_line).unwrap_or(false);
                 }
             }
         }
@@ -292,7 +290,7 @@ impl Machine {
     /// MESI-lite: a write invalidates every other core's copy. Returns the
     /// coherence latency charged (zero when the line is private).
     fn invalidate_remote_sharers(&mut self, core: usize, line: u64, _region: Region) -> u64 {
-        let Some(shares) = self.directory.get_mut(&line) else { return 0 };
+        let shares = self.sharers(line);
         let others = *shares & !(1 << core);
         if others == 0 {
             return 0;
@@ -328,7 +326,7 @@ impl Machine {
         for c in &mut self.l3_banks {
             c.flush_silently();
         }
-        self.directory.clear();
+        self.directory.fill(0);
     }
 }
 
@@ -444,6 +442,39 @@ mod tests {
             m.stats().dram_writebacks(Region::VertexValue) > 0,
             "capacity-evicted dirty lines must be written back"
         );
+    }
+
+    #[test]
+    fn inclusive_l3_eviction_back_invalidates_every_sharer() {
+        // One L3 bank of one 16-way set: the 17th distinct line evicts the
+        // least recently used one.
+        let mut cfg = SystemConfig::scaled(2);
+        cfg.l3_inclusive = true;
+        cfg.l3_banks = 1;
+        cfg.l3.size_bytes = 16 * 64;
+        let mut map = AddressMap::new(cfg.line_bytes);
+        map.add(Region::VertexValue, 8, 1 << 10);
+        let mut m = Machine::new(cfg, map);
+        let a = m.map.addr(Region::VertexValue, 0);
+        // Core 0 holds the line dirty in its L1; core 1 holds it clean.
+        m.access(0, Region::VertexValue, 0, AccessKind::Write, Level::L1, 0);
+        m.access(1, Region::VertexValue, 0, AccessKind::Read, Level::L1, 0);
+        assert_eq!(*m.sharers(a), 0b11);
+        // Core 1 streams 15 other lines through the L3: the set is full.
+        for line in 1..16 {
+            m.access(1, Region::VertexValue, line * 8, AccessKind::Read, Level::L1, 0);
+        }
+        assert!(m.l1[0].contains(a) && m.l2[1].contains(a), "no L3 eviction yet");
+        assert_eq!(m.stats().dram_writebacks(Region::VertexValue), 0);
+        // The 16th evicts the line from the L3 and hence from every sharer.
+        m.access(1, Region::VertexValue, 16 * 8, AccessKind::Read, Level::L1, 0);
+        for core in 0..2 {
+            assert!(!m.l1[core].contains(a), "core {core} L1 keeps an evicted line");
+            assert!(!m.l2[core].contains(a), "core {core} L2 keeps an evicted line");
+        }
+        assert_eq!(*m.sharers(a), 0, "sharers cleared");
+        // Core 0's dirty L1 copy is the only dirty data: one DRAM writeback.
+        assert_eq!(m.stats().dram_writebacks(Region::VertexValue), 1);
     }
 
     #[test]

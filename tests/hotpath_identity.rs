@@ -8,6 +8,10 @@
 //! full observer event streams and statistics — are bit-identical, so the
 //! committed `BENCH_hotpath.json` speedups are speedups of *the same
 //! function*, not of a subtly different one.
+//!
+//! The `machine_golden_stream_*` tests pin `archsim::Machine` itself: every
+//! counter of a fixed access stream against constants recorded before the
+//! sharer directory became a dense array.
 
 use hypergraph::{Frontier, Hypergraph, HypergraphBuilder, Side, VertexId};
 use oag::{generate_chains, generate_chains_with_scratch, ChainConfig, ChainScratch, OagConfig};
@@ -146,3 +150,99 @@ proptest! {
         }
     }
 }
+
+/// splitmix64: a self-contained generator, so the golden stream below does
+/// not depend on any RNG crate's version.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The regions the golden stream touches; `HOagEdge` is read-only, like
+/// every OAG array.
+const GOLDEN_REGIONS: [archsim::Region; 4] = [
+    archsim::Region::VertexValue,
+    archsim::Region::HyperedgeValue,
+    archsim::Region::Bitmap,
+    archsim::Region::HOagEdge,
+];
+
+/// Replays a seeded stream of reads and writes from several cores, entering
+/// at both L1 (core) and L2 (engine), skewed towards shared hot and warm
+/// sets so lines are shared, invalidated and evicted at every level. Returns
+/// `served_at` per golden region and level, then each region's DRAM
+/// writebacks, then invalidations, DRAM accesses and the summed latency.
+fn golden_stream(cfg: archsim::SystemConfig, seed: u64, n: usize) -> Vec<u64> {
+    use archsim::{AccessKind, AddressMap, Level, Machine, Region};
+    const ELEMS: u64 = 1 << 14;
+    let mut map = AddressMap::new(cfg.line_bytes);
+    for region in GOLDEN_REGIONS {
+        map.add(region, 8, ELEMS as usize);
+    }
+    let mut m = Machine::new(cfg, map);
+    let mut rng = seed;
+    let mut clocks = vec![0u64; cfg.num_cores];
+    let mut latency = 0u64;
+    for _ in 0..n {
+        let r = splitmix64(&mut rng);
+        let core = (r % cfg.num_cores as u64) as usize;
+        let region = GOLDEN_REGIONS[(r >> 8) as usize % GOLDEN_REGIONS.len()];
+        // 40% on a 64-element hot set, 30% on a 4096-element warm set, the
+        // rest uniform over the region.
+        let span = match (r >> 12) % 10 {
+            0..=3 => 64,
+            4..=6 => 4096,
+            _ => ELEMS,
+        };
+        let index = (r >> 16) % span;
+        let write = region != Region::HOagEdge && (r >> 40) % 10 < 3;
+        let kind = if write { AccessKind::Write } else { AccessKind::Read };
+        let entry = if (r >> 48) & 3 == 0 { Level::L2 } else { Level::L1 };
+        let res = m.access(core, region, index, kind, entry, clocks[core]);
+        clocks[core] += 1 + res.latency / 4;
+        latency += res.latency;
+    }
+    let stats = m.stats();
+    let mut out: Vec<u64> = GOLDEN_REGIONS
+        .iter()
+        .flat_map(|&r| [Level::L1, Level::L2, Level::L3, Level::Mem].map(|l| stats.served_at(r, l)))
+        .collect();
+    assert_eq!(out.iter().sum::<u64>(), n as u64, "every access lands in a golden region");
+    out.extend(GOLDEN_REGIONS.map(|r| stats.dram_writebacks(r)));
+    out.extend([stats.invalidations, m.dram().accesses(), latency]);
+    out
+}
+
+/// Golden stream through the default non-inclusive scaled machine: every
+/// counter is pinned, so any change to sharer bookkeeping (fill, clear on
+/// L2 eviction, invalidation on write) shows up here.
+#[test]
+fn machine_golden_stream_non_inclusive() {
+    let got = golden_stream(archsim::SystemConfig::scaled(4), 0x5EED_0001, 60_000);
+    assert_eq!(got, GOLDEN_NON_INCLUSIVE);
+}
+
+/// Golden stream through a small inclusive-L3 machine whose L3 evicts, so
+/// the back-invalidation path (sharers taken, private copies dropped,
+/// dirtiness folded into the writeback) is pinned too.
+#[test]
+fn machine_golden_stream_inclusive() {
+    let mut cfg = archsim::SystemConfig::scaled(4);
+    cfg.l3_inclusive = true;
+    cfg.l3.size_bytes = 32 * 1024;
+    let got = golden_stream(cfg, 0x5EED_0002, 60_000);
+    assert_eq!(got, GOLDEN_INCLUSIVE);
+}
+
+/// [`golden_stream`] outputs recorded with the `HashMap` sharer directory.
+const GOLDEN_NON_INCLUSIVE: [u64; 23] = [
+    1340, 1958, 3120, 8469, 1296, 1871, 3019, 8773, 1341, 1978, 3073, 8603, 1886, 3752, 742, 8779,
+    2813, 2974, 2889, 0, 5463, 34624, 11362502,
+];
+const GOLDEN_INCLUSIVE: [u64; 23] = [
+    1267, 1618, 3206, 8851, 1335, 1606, 3283, 8899, 1297, 1595, 3219, 8895, 1484, 2362, 1971, 9112,
+    2902, 2965, 2908, 0, 4912, 35757, 11808200,
+];
