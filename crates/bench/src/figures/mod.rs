@@ -46,68 +46,21 @@ pub use preprocessing::{fig21, Fig21};
 pub use sensitivity::{fig17, fig18, fig19, fig20, Fig17, Fig18, Fig19, Fig20};
 pub use statics::{area_table, table1, table2, AreaTable, Table1, Table2};
 
+use crate::artifacts::{ArtifactStore, Memo};
 use crate::cache::PreprocessCache;
-use crate::{load_scaled, Scale};
-use chgraph::{
-    ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime,
-    PreparedOags, RunConfig, Runtime,
-};
-use hyperalgos::{run_workload_prepared, self_check_prepared, Workload};
+use crate::{panic_message, Scale};
+use chgraph::{ExecutionReport, PreparedOags, RunConfig, Runtime};
+use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
-use hypergraph::{Hypergraph, Side};
-use std::collections::{HashMap, HashSet};
+use hypergraph::Hypergraph;
+use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// The systems compared across the evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum System {
-    /// Hygra (index-ordered baseline).
-    Hygra,
-    /// Pure-software GLA.
-    Gla,
-    /// Full ChGraph (HCG + CP).
-    ChGraph,
-    /// HCG-only ablation.
-    HcgOnly,
-    /// HATS-V.
-    HatsV,
-    /// Event-driven hardware prefetcher.
-    Prefetcher,
-}
-
-impl System {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Hygra => "Hygra",
-            System::Gla => "GLA",
-            System::ChGraph => "ChGraph",
-            System::HcgOnly => "HCG-only",
-            System::HatsV => "HATS-V",
-            System::Prefetcher => "Prefetcher",
-        }
-    }
-
-    fn runtime(self) -> Box<dyn Runtime> {
-        match self {
-            System::Hygra => Box::new(HygraRuntime),
-            System::Gla => Box::new(GlaRuntime),
-            System::ChGraph => Box::new(ChGraphRuntime::new()),
-            System::HcgOnly => Box::new(ChGraphRuntime::hcg_only()),
-            System::HatsV => Box::new(HatsVRuntime),
-            System::Prefetcher => Box::new(PrefetcherRuntime),
-        }
-    }
-
-    /// Whether this system's runtime builds OAGs (and so benefits from the
-    /// harness's shared [`PreparedOags`]).
-    fn uses_oags(self) -> bool {
-        matches!(self, System::Gla | System::ChGraph | System::HcgOnly)
-    }
-}
+// `perfbench/src/sim.rs` imports `System` from this path.
+pub use chgraph::System;
 
 /// One evaluation-grid cell.
 pub type Job = (Dataset, Workload, System);
@@ -162,36 +115,10 @@ impl GridOutcome {
     }
 }
 
-/// Renders a `catch_unwind` payload (typically a `&str` or `String` from
-/// `panic!`) for error reports.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// A single-flight memo slot: cloned out of the table under the lock,
-/// initialized outside it. `OnceLock::get_or_init` blocks latecomers until
-/// the winner finishes, so each key is computed exactly once.
-type Slot<T> = Arc<OnceLock<T>>;
-
-fn slot_for<K, V>(table: &Mutex<HashMap<K, Slot<V>>>, key: K) -> Slot<V>
-where
-    K: std::hash::Hash + Eq,
-{
-    // Recover from poisoning rather than propagating it: the table layout
-    // is an insert-only map of Arc slots, which stays consistent even if a
-    // panic unwound through a past lock holder.
-    table.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default().clone()
-}
-
 /// Execution context of the harness: scale, machine configuration, worker
-/// threads, an optional on-disk preprocessing cache, and memos of loaded
-/// graphs, prepared OAGs and `(dataset, workload, system)` reports.
+/// threads, an unbounded [`ArtifactStore`] of loaded graphs and prepared
+/// OAGs (optionally backed by an on-disk preprocessing cache), and a memo
+/// of `(dataset, workload, system)` reports.
 ///
 /// The harness is `Sync`: all memo state is behind `Mutex`/`OnceLock`, and
 /// artifacts are handed out as `Arc`s shared between workers and figure
@@ -203,10 +130,8 @@ pub struct Harness {
     pub cfg: RunConfig,
     threads: usize,
     self_check: bool,
-    cache: Option<Arc<PreprocessCache>>,
-    graphs: Mutex<HashMap<Dataset, Slot<Arc<Hypergraph>>>>,
-    prepared: Mutex<HashMap<Dataset, Slot<Arc<PreparedOags>>>>,
-    reports: Mutex<HashMap<Job, Slot<Arc<ExecutionReport>>>>,
+    store: ArtifactStore,
+    reports: Memo<Job, Arc<ExecutionReport>>,
     cell_failures: Mutex<Vec<CellError>>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault_hook: Option<Arc<dyn Fn(Job) + Send + Sync>>,
@@ -244,10 +169,8 @@ impl Harness {
             cfg,
             threads: 1,
             self_check: false,
-            cache: None,
-            graphs: Mutex::new(HashMap::new()),
-            prepared: Mutex::new(HashMap::new()),
-            reports: Mutex::new(HashMap::new()),
+            store: ArtifactStore::new(usize::MAX, usize::MAX, None),
+            reports: Memo::new(usize::MAX),
             cell_failures: Mutex::new(Vec::new()),
             #[cfg(any(test, feature = "fault-injection"))]
             fault_hook: None,
@@ -266,7 +189,7 @@ impl Harness {
 
     /// Enables differential self-checking: every execution is diffed
     /// against the naive reference implementation
-    /// ([`hyperalgos::self_check`]), and a divergence fails the cell.
+    /// ([`hyperalgos::self_check_prepared`]), and a divergence fails the cell.
     /// Reports are bit-identical either way; a failing cell surfaces as a
     /// [`CellError`] through the usual fault-isolation machinery (retried
     /// once, recorded in the [`GridOutcome`]) instead of aborting the grid.
@@ -287,7 +210,7 @@ impl Harness {
     /// Attaches an on-disk preprocessing cache: loaded graphs and built
     /// OAGs are persisted and restored across harness instances/processes.
     pub fn with_cache(mut self, cache: Arc<PreprocessCache>) -> Self {
-        self.cache = Some(cache);
+        self.store = ArtifactStore::new(usize::MAX, usize::MAX, Some(cache));
         self
     }
 
@@ -298,51 +221,18 @@ impl Harness {
 
     /// The attached preprocessing cache, if any (for run-log summaries).
     pub fn cache(&self) -> Option<&PreprocessCache> {
-        self.cache.as_deref()
+        self.store.disk()
     }
 
     /// The (cached) scaled stand-in hypergraph for `ds`.
     pub fn graph(&self, ds: Dataset) -> Arc<Hypergraph> {
-        slot_for(&self.graphs, ds)
-            .get_or_init(|| {
-                if let Some(cache) = &self.cache {
-                    if let Some(g) = cache.load_graph(ds, self.scale) {
-                        return Arc::new(g);
-                    }
-                }
-                let g = load_scaled(ds, self.scale);
-                if let Some(cache) = &self.cache {
-                    cache.store_graph(ds, self.scale, &g);
-                }
-                Arc::new(g)
-            })
-            .clone()
+        self.store.graph(ds, self.scale).0
     }
 
     /// The (cached) pre-built OAG pair for `ds` under the harness
     /// configuration, shared by every chain-driven cell of the grid.
     pub fn prepared(&self, ds: Dataset) -> Arc<PreparedOags> {
-        slot_for(&self.prepared, ds)
-            .get_or_init(|| {
-                let g = self.graph(ds);
-                let oag_cfg = self.cfg.oag;
-                let build_side = |side: Side| {
-                    if let Some(cache) = &self.cache {
-                        if let Some(hit) = cache.load_oag(&g, &oag_cfg, side) {
-                            return hit;
-                        }
-                    }
-                    let built = oag_cfg.build_with_stats_threads(&g, side, self.threads);
-                    if let Some(cache) = &self.cache {
-                        cache.store_oag(&g, &oag_cfg, side, &built.0, &built.1);
-                    }
-                    built
-                };
-                let hyperedge = build_side(Side::Hyperedge);
-                let vertex = build_side(Side::Vertex);
-                Arc::new(PreparedOags::from_parts(&g, oag_cfg, hyperedge, vertex))
-            })
-            .clone()
+        self.store.prepared(ds, self.scale, &self.cfg, self.threads).1
     }
 
     /// The (memoized) execution report of `workload` on `ds` under `sys`.
@@ -365,7 +255,7 @@ impl Harness {
         sys: System,
     ) -> Result<Arc<ExecutionReport>, CellError> {
         let job = (ds, workload, sys);
-        let slot = slot_for(&self.reports, job);
+        let (slot, _) = self.reports.slot(job);
         if let Some(r) = slot.get() {
             return Ok(r.clone());
         }
@@ -421,7 +311,8 @@ impl Harness {
                 Err(e) => panic!("self-check failed: {e}"),
             }
         } else {
-            run_workload_prepared(workload, runtime, g, cfg, prepared)
+            try_run_workload_prepared(workload, runtime, g, cfg, prepared)
+                .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
         }
     }
 
@@ -474,7 +365,7 @@ impl Harness {
     /// Runs `workload` on `ds` under `sys` with an explicit non-memoized
     /// configuration (sensitivity sweeps). Reuses the harness's prepared
     /// OAGs when `cfg` keeps the harness's OAG parameters — permitted by
-    /// the `execute_prepared` bit-identity contract.
+    /// the `try_execute_prepared` bit-identity contract.
     pub fn run_with(
         &self,
         ds: Dataset,
@@ -606,6 +497,20 @@ mod tests {
     fn system_labels() {
         assert_eq!(System::ChGraph.label(), "ChGraph");
         assert_eq!(System::HatsV.label(), "HATS-V");
+    }
+
+    #[test]
+    fn prefetch_builds_each_artifact_once_per_dataset() {
+        let h = Harness::new(Scale(0.05)).with_threads(4);
+        let jobs = grid(
+            &[Workload::Cc, Workload::Bfs],
+            &[Dataset::LiveJournal],
+            &[System::Hygra, System::Gla, System::ChGraph],
+        );
+        assert!(h.prefetch(jobs).is_complete());
+        let c = h.store.counters();
+        assert_eq!((c.graph_misses, c.oag_misses), (1, 1), "{c:?}");
+        assert!(c.graph_hits + c.coalesced > 0 && c.oag_hits + c.coalesced > 0, "{c:?}");
     }
 
     #[test]
@@ -754,7 +659,8 @@ mod tests {
         let h = Harness::new(Scale(0.05));
         let ds = Dataset::LiveJournal;
         let g = h.graph(ds);
-        let direct = hyperalgos::run_workload(Workload::Cc, &ChGraphRuntime::new(), &g, &h.cfg);
+        let direct =
+            hyperalgos::run_workload(Workload::Cc, &chgraph::ChGraphRuntime::new(), &g, &h.cfg);
         let memoized = h.report(ds, Workload::Cc, System::ChGraph);
         assert_eq!(direct, *memoized);
     }

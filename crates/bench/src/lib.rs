@@ -19,6 +19,7 @@
 //! where crossovers fall — are asserted by the integration tests in
 //! `tests/`.
 
+pub mod artifacts;
 pub mod cache;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod faultutil;
@@ -27,6 +28,7 @@ pub mod hostmeta;
 mod scale;
 mod table;
 
+pub use artifacts::{ArtifactCounters, ArtifactStore, Fetch};
 pub use cache::{CacheStats, PreprocessCache};
 pub use hostmeta::HostMeta;
 pub use scale::{load_graph_scaled, load_scaled, Scale};
@@ -39,4 +41,16 @@ pub use table::Table;
 /// `--threads` value win.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Renders a `catch_unwind` payload (typically a `&str` or `String` from
+/// `panic!`) for error reports.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }

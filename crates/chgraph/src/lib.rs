@@ -55,5 +55,5 @@ pub use algorithm::{Algorithm, MinLabel, State, UpdateOutcome};
 pub use baseline::{HatsVRuntime, PrefetcherRuntime};
 pub use guard::{Budget, ExecError, ExecProgress, Watchdog, WatchdogConfig};
 pub use report::{EngineReport, ExecutionReport, PreprocessReport};
-pub use runtime::{RunConfig, Runtime};
+pub use runtime::{RunConfig, Runtime, System};
 pub use runtimes::{ChGraphRuntime, GlaRuntime, HygraRuntime, PreparedOags};

@@ -1,10 +1,15 @@
-//! The runtime abstraction and its configuration.
+//! The runtime abstraction, its configuration, and the registry of
+//! evaluated systems.
 
 use crate::guard::{ExecError, WatchdogConfig};
-use crate::{Algorithm, ExecutionReport};
+use crate::{
+    Algorithm, ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime,
+    PrefetcherRuntime,
+};
 use archsim::SystemConfig;
 use hypergraph::Hypergraph;
 use oag::{ChainConfig, OagConfig};
+use std::str::FromStr;
 
 /// Configuration shared by every runtime execution.
 #[derive(Clone, Copy, Debug)]
@@ -178,22 +183,73 @@ pub trait Runtime {
     fn execute(&self, g: &Hypergraph, algo: &dyn Algorithm, cfg: &RunConfig) -> ExecutionReport {
         self.try_execute(g, algo, cfg).unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
+}
 
-    /// Infallible convenience wrapper over
-    /// [`try_execute_prepared`](Runtime::try_execute_prepared).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ExecError`] message if the execution fails.
-    fn execute_prepared(
-        &self,
-        g: &Hypergraph,
-        algo: &dyn Algorithm,
-        cfg: &RunConfig,
-        prepared: Option<&crate::PreparedOags>,
-    ) -> ExecutionReport {
-        self.try_execute_prepared(g, algo, cfg, prepared)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name()))
+/// The systems compared across the evaluation — the one name-to-runtime
+/// registry shared by the figure harness, `chgraph-cli` and `chgraphd`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum System {
+    /// Hygra (index-ordered baseline).
+    Hygra,
+    /// Pure-software GLA.
+    Gla,
+    /// Full ChGraph (HCG + CP).
+    ChGraph,
+    /// HCG-only ablation.
+    HcgOnly,
+    /// HATS-V.
+    HatsV,
+    /// Event-driven hardware prefetcher.
+    Prefetcher,
+}
+
+impl System {
+    /// Display label.
+    pub fn label(self) -> &'static str {
+        match self {
+            System::Hygra => "Hygra",
+            System::Gla => "GLA",
+            System::ChGraph => "ChGraph",
+            System::HcgOnly => "HCG-only",
+            System::HatsV => "HATS-V",
+            System::Prefetcher => "Prefetcher",
+        }
+    }
+
+    /// A fresh runtime of this system.
+    pub fn runtime(self) -> Box<dyn Runtime> {
+        match self {
+            System::Hygra => Box::new(HygraRuntime),
+            System::Gla => Box::new(GlaRuntime),
+            System::ChGraph => Box::new(ChGraphRuntime::new()),
+            System::HcgOnly => Box::new(ChGraphRuntime::hcg_only()),
+            System::HatsV => Box::new(HatsVRuntime),
+            System::Prefetcher => Box::new(PrefetcherRuntime),
+        }
+    }
+
+    /// Whether this system's runtime builds OAGs (and so can reuse a
+    /// shared [`PreparedOags`](crate::PreparedOags)).
+    pub fn uses_oags(self) -> bool {
+        matches!(self, System::Gla | System::ChGraph | System::HcgOnly)
+    }
+}
+
+impl FromStr for System {
+    type Err = String;
+
+    /// Parses a runtime name, case-insensitively: `hygra`, `gla`,
+    /// `chgraph`, `hcg`, `hats`/`hats-v`, `prefetcher`.
+    fn from_str(name: &str) -> Result<Self, String> {
+        Ok(match name.to_ascii_lowercase().as_str() {
+            "hygra" => System::Hygra,
+            "gla" => System::Gla,
+            "chgraph" => System::ChGraph,
+            "hcg" => System::HcgOnly,
+            "hats" | "hats-v" => System::HatsV,
+            "prefetcher" => System::Prefetcher,
+            _ => return Err(format!("unknown runtime {name:?}")),
+        })
     }
 }
 
@@ -222,5 +278,27 @@ mod tests {
         assert_eq!(c.oag.w_min, 1);
         assert_eq!(c.chain.d_max, 8);
         assert_eq!(c.max_iterations, Some(3));
+    }
+
+    #[test]
+    fn system_names_parse_with_aliases_and_any_case() {
+        for (name, want) in [
+            ("hygra", System::Hygra),
+            ("Hygra", System::Hygra),
+            ("gla", System::Gla),
+            ("GLA", System::Gla),
+            ("chgraph", System::ChGraph),
+            ("ChGraph", System::ChGraph),
+            ("hcg", System::HcgOnly),
+            ("HCG", System::HcgOnly),
+            ("hats", System::HatsV),
+            ("hats-v", System::HatsV),
+            ("HATS-V", System::HatsV),
+            ("prefetcher", System::Prefetcher),
+            ("Prefetcher", System::Prefetcher),
+        ] {
+            assert_eq!(name.parse::<System>(), Ok(want), "{name}");
+        }
+        assert_eq!("hcg-only".parse::<System>(), Err("unknown runtime \"hcg-only\"".into()));
     }
 }

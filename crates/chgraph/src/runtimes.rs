@@ -11,7 +11,7 @@ use oag::{Oag, OagBuildStats, OagConfig};
 /// (every `(workload, system)` cell of one dataset column reuses them).
 ///
 /// A `PreparedOags` is only valid for the [`OagConfig`] it was built with;
-/// [`Runtime::execute_prepared`] checks `cfg` equality and falls back to a
+/// [`Runtime::try_execute_prepared`] checks `cfg` equality and falls back to a
 /// fresh build on mismatch, so reuse can never change a report.
 #[derive(Clone, Debug)]
 pub struct PreparedOags {

@@ -7,6 +7,7 @@ use crate::{
 use chgraph::{ExecError, ExecutionReport, PreparedOags, RunConfig, Runtime};
 use hypergraph::{Hypergraph, VertexId};
 use std::fmt;
+use std::str::FromStr;
 
 /// The deterministic source vertex used by the traversal workloads: the
 /// highest-degree vertex (ties broken by lowest id), so the traversal is
@@ -72,45 +73,49 @@ impl fmt::Display for Workload {
     }
 }
 
+impl FromStr for Workload {
+    type Err = String;
+
+    /// Parses a workload name, case-insensitively: `bfs`, `pr`/`pagerank`,
+    /// `mis`, `bc`, `cc`, `kcore`/`k-core`, `sssp`, `adsorption`.
+    fn from_str(name: &str) -> Result<Self, String> {
+        Ok(match name.to_ascii_lowercase().as_str() {
+            "bfs" => Workload::Bfs,
+            "pr" | "pagerank" => Workload::Pr,
+            "mis" => Workload::Mis,
+            "bc" => Workload::Bc,
+            "cc" => Workload::Cc,
+            "kcore" | "k-core" => Workload::KCore,
+            "sssp" => Workload::Sssp,
+            "adsorption" => Workload::Adsorption,
+            _ => return Err(format!("unknown workload {name:?}")),
+        })
+    }
+}
+
 /// Executes `workload` on `g` under `runtime` with the standard parameters
 /// of the evaluation (source vertex 0 for traversals, k = 3 for k-core,
 /// 10 iterations for PR/Adsorption).
+///
+/// # Panics
+///
+/// Panics with the [`ExecError`] message if the execution fails; use
+/// [`try_run_workload_prepared`] to keep failures typed.
 pub fn run_workload(
     workload: Workload,
     runtime: &dyn Runtime,
     g: &Hypergraph,
     cfg: &RunConfig,
 ) -> ExecutionReport {
-    run_workload_prepared(workload, runtime, g, cfg, None)
-}
-
-/// [`run_workload`] with optional pre-built OAG artifacts. Passing
-/// `Some(prepared)` skips per-execution OAG construction for chain-driven
-/// runtimes; the report is bit-identical either way (see
-/// [`Runtime::execute_prepared`]).
-pub fn run_workload_prepared(
-    workload: Workload,
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-    prepared: Option<&PreparedOags>,
-) -> ExecutionReport {
-    try_run_workload_prepared(workload, runtime, g, cfg, prepared)
+    try_run_workload_prepared(workload, runtime, g, cfg, None)
         .unwrap_or_else(|e| panic!("{}: {e}", runtime.name()))
 }
 
-/// Fallible [`run_workload`]: watchdog budgets and structural-validation
-/// failures surface as a typed [`ExecError`] instead of a panic.
-pub fn try_run_workload(
-    workload: Workload,
-    runtime: &dyn Runtime,
-    g: &Hypergraph,
-    cfg: &RunConfig,
-) -> Result<ExecutionReport, ExecError> {
-    try_run_workload_prepared(workload, runtime, g, cfg, None)
-}
-
-/// Fallible [`run_workload_prepared`].
+/// Fallible [`run_workload`] with optional pre-built OAG artifacts.
+/// Passing `Some(prepared)` skips per-execution OAG construction for
+/// chain-driven runtimes; the report is bit-identical either way (see
+/// [`Runtime::try_execute_prepared`]). Watchdog budgets and
+/// structural-validation failures surface as a typed [`ExecError`].
 pub fn try_run_workload_prepared(
     workload: Workload,
     runtime: &dyn Runtime,
@@ -147,6 +152,33 @@ mod tests {
             assert!(r.cycles > 0, "{w}: zero cycles");
             assert!(r.iterations > 0, "{w}: zero iterations");
         }
+    }
+
+    #[test]
+    fn workload_names_parse_with_aliases_and_any_case() {
+        for (name, want) in [
+            ("bfs", Workload::Bfs),
+            ("BFS", Workload::Bfs),
+            ("pr", Workload::Pr),
+            ("pagerank", Workload::Pr),
+            ("PageRank", Workload::Pr),
+            ("mis", Workload::Mis),
+            ("Mis", Workload::Mis),
+            ("bc", Workload::Bc),
+            ("BC", Workload::Bc),
+            ("cc", Workload::Cc),
+            ("cC", Workload::Cc),
+            ("kcore", Workload::KCore),
+            ("k-core", Workload::KCore),
+            ("K-Core", Workload::KCore),
+            ("sssp", Workload::Sssp),
+            ("SSSP", Workload::Sssp),
+            ("adsorption", Workload::Adsorption),
+            ("Adsorption", Workload::Adsorption),
+        ] {
+            assert_eq!(name.parse::<Workload>(), Ok(want), "{name}");
+        }
+        assert_eq!("dfs".parse::<Workload>(), Err("unknown workload \"dfs\"".into()));
     }
 
     #[test]

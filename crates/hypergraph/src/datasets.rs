@@ -20,6 +20,7 @@
 use crate::generate::{two_uniform_graph, GeneratorConfig};
 use crate::Hypergraph;
 use std::fmt;
+use std::str::FromStr;
 
 /// The five hypergraph datasets of Table II (synthetic stand-ins).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -135,6 +136,18 @@ impl fmt::Display for Dataset {
     }
 }
 
+impl FromStr for Dataset {
+    type Err = String;
+
+    /// Parses an [`abbrev`](Dataset::abbrev), case-insensitively.
+    fn from_str(name: &str) -> Result<Self, String> {
+        Dataset::ALL
+            .into_iter()
+            .find(|d| d.abbrev().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown dataset {name:?}"))
+    }
+}
+
 /// The two ordinary graphs of the generality study (paper §VI-I, Fig. 25),
 /// represented as 2-uniform hypergraphs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -177,6 +190,25 @@ mod tests {
     use super::*;
     use crate::stats::sharable_ratio;
     use crate::Side;
+
+    #[test]
+    fn dataset_names_parse_case_insensitively() {
+        for (name, want) in [
+            ("FS", Dataset::Friendster),
+            ("fs", Dataset::Friendster),
+            ("OK", Dataset::ComOrkut),
+            ("ok", Dataset::ComOrkut),
+            ("LJ", Dataset::LiveJournal),
+            ("Lj", Dataset::LiveJournal),
+            ("WEB", Dataset::WebTrackers),
+            ("web", Dataset::WebTrackers),
+            ("OG", Dataset::OrkutGroup),
+            ("oG", Dataset::OrkutGroup),
+        ] {
+            assert_eq!(name.parse::<Dataset>(), Ok(want), "{name}");
+        }
+        assert_eq!("Friendster".parse::<Dataset>(), Err("unknown dataset \"Friendster\"".into()));
+    }
 
     #[test]
     fn all_datasets_load_with_declared_sizes() {

@@ -6,8 +6,9 @@
 //! (`chgraphd`) accepts run requests — dataset × algorithm × runtime ×
 //! configuration — over a checksummed, length-prefixed JSON-over-TCP
 //! protocol, executes them on a bounded worker pool, and serves repeated
-//! requests from an in-memory prepared-artifact LRU with single-flight
-//! build deduplication, falling back to the on-disk preprocess cache.
+//! requests from `chg_bench`'s prepared-artifact store (an in-memory LRU
+//! with single-flight build deduplication, falling back to the on-disk
+//! preprocess cache).
 //!
 //! Design invariants:
 //!
@@ -32,24 +33,22 @@
 //!   hope.
 //!
 //! Module map: [`proto`] wire format and request/response schema, [`json`]
-//! the std-only JSON codec under it, [`lru`] the artifact store, [`stats`]
-//! counters and latency histograms, [`server`] the daemon core, [`client`]
-//! the blocking client shared by the CLI, the load generator, and tests,
-//! [`chaos`] the seeded fault-injection proxy the resilience tests drive.
+//! the std-only JSON codec under it, [`stats`] counters and latency
+//! histograms, [`server`] the daemon core, [`client`] the blocking client
+//! shared by the CLI, the load generator, and tests, [`chaos`] the seeded
+//! fault-injection proxy the resilience tests drive.
 //!
 //! [`WatchdogConfig`]: chgraph::WatchdogConfig
 
 pub mod chaos;
 pub mod client;
 pub mod json;
-pub mod lru;
 pub mod proto;
 pub mod server;
 pub mod stats;
 
 pub use chaos::{plan_for, ChaosPolicy, ChaosProxy, Direction, FaultEvent, FaultPlan};
 pub use client::{Client, ClientError, ErrorClass, RetryOutcome, RetryPolicy};
-pub use lru::{ArtifactStore, Fetch};
 pub use proto::{
     error_response, run_result_from_report, ArtifactCounters, ArtifactSource, CloseCounters,
     DiskCacheCounters, LatencySummary, ProtoError, Request, RequestCounters, Response, RunRequest,

@@ -20,10 +20,11 @@
 //!
 //! # Schema
 //!
-//! Requests and responses are serde-derived structs (the vendored `serde`
-//! is declarative-only, so the actual codec is the explicit
-//! [`Json`](crate::json::Json) mapping implemented here — one function pair
-//! per type, which keeps the wire schema reviewable in one place).
+//! Requests and responses are encoded by the hand-rolled, std-only
+//! [`chg_serve::json`](crate::json) codec: an explicit
+//! [`Json`](crate::json::Json) mapping implemented here, one function pair
+//! per type, which keeps the wire schema reviewable in one place. (Their
+//! `serde` derives are no-op markers; nothing serializes through serde.)
 
 use crate::json::{self, Json};
 use hypergraph::checksum::{HashingReader, HashingWriter};
@@ -555,21 +556,7 @@ pub struct CloseCounters {
 }
 
 /// Counter block of a [`StatsReport`]: the in-memory artifact LRU.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArtifactCounters {
-    /// Graph lookups served from the LRU.
-    pub graph_hits: u64,
-    /// Graph lookups that built (or disk-restored) the artifact.
-    pub graph_misses: u64,
-    /// Prepared-OAG lookups served from the LRU.
-    pub oag_hits: u64,
-    /// Prepared-OAG lookups that built (or disk-restored) the artifact.
-    pub oag_misses: u64,
-    /// Lookups that waited on another request's in-flight build.
-    pub coalesced: u64,
-    /// Entries evicted by capacity pressure.
-    pub evictions: u64,
-}
+pub use chg_bench::ArtifactCounters;
 
 /// Counter block of a [`StatsReport`]: the on-disk preprocess cache
 /// (mirrors [`chg_bench::cache::CacheStats`]).

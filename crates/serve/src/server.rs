@@ -6,7 +6,7 @@
 //! ```text
 //! client ──frame──▶ handler thread ──try_push──▶ bounded queue ──▶ worker pool
 //!        ◀─frame──            ▲                        │  (N threads, executes
-//!                             └──── mpsc reply ◀───────┘   on the ArtifactStore)
+//!                             └──── mpsc reply ◀───────┘   on chg_bench's artifact store)
 //! ```
 //!
 //! `Stats`/`Ping`/`Shutdown` are answered inline by the handler; only `Run`
@@ -25,17 +25,13 @@
 //! drain can take: a runaway simulation trips its budget and returns a
 //! typed error instead of wedging a worker forever.
 
-use crate::lru::{ArtifactStore, Fetch};
 use crate::proto::{
     self, error_response, run_result_from_report, ArtifactSource, DiskCacheCounters, Request,
     Response, RunRequest, StatsReport,
 };
 use crate::stats::{CloseCause, Counters, LatencyHistogram};
-use chg_bench::{PreprocessCache, Scale};
-use chgraph::{
-    ChGraphRuntime, ExecutionReport, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime,
-    RunConfig, Runtime, WatchdogConfig,
-};
+use chg_bench::{panic_message, ArtifactStore, Fetch, PreprocessCache, Scale};
+use chgraph::{ExecutionReport, RunConfig, System, WatchdogConfig};
 use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use std::collections::VecDeque;
@@ -620,45 +616,9 @@ fn execute_isolated(request: &RunRequest, shared: &Shared) -> Response {
     match catch_unwind(AssertUnwindSafe(|| execute_run(request, shared))) {
         Ok(response) => response,
         Err(payload) => {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Response::Error { kind: "internal-panic".into(), message }
+            Response::Error { kind: "internal-panic".into(), message: panic_message(payload) }
         }
     }
-}
-
-fn pick_workload(name: &str) -> Option<Workload> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "bfs" => Workload::Bfs,
-        "pr" | "pagerank" => Workload::Pr,
-        "mis" => Workload::Mis,
-        "bc" => Workload::Bc,
-        "cc" => Workload::Cc,
-        "kcore" | "k-core" => Workload::KCore,
-        "sssp" => Workload::Sssp,
-        "adsorption" => Workload::Adsorption,
-        _ => return None,
-    })
-}
-
-fn pick_runtime(name: &str) -> Option<Box<dyn Runtime>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "hygra" => Box::new(HygraRuntime),
-        "gla" => Box::new(GlaRuntime),
-        "chgraph" => Box::new(ChGraphRuntime::new()),
-        "hcg" => Box::new(ChGraphRuntime::hcg_only()),
-        "hats" | "hats-v" => Box::new(HatsVRuntime),
-        "prefetcher" => Box::new(PrefetcherRuntime),
-        _ => return None,
-    })
-}
-
-/// Whether a runtime consumes [`chgraph::PreparedOags`].
-fn uses_oags(name: &str) -> bool {
-    matches!(name.to_ascii_lowercase().as_str(), "gla" | "chgraph" | "hcg")
 }
 
 /// Per-budget minimum of the service default and the request's own budgets
@@ -680,9 +640,15 @@ fn merged_watchdog(service: WatchdogConfig, request: &RunRequest) -> WatchdogCon
     }
 }
 
-/// Builds the library-level [`RunConfig`] for a request; `Err` is a
-/// bad-request message.
-fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, String> {
+/// Resolves a request's names and builds its library-level [`RunConfig`];
+/// `Err` is a bad-request message.
+fn parse_run(
+    request: &RunRequest,
+    shared: &Shared,
+) -> Result<(Workload, System, Dataset, RunConfig), String> {
+    let workload = request.workload.parse()?;
+    let system = request.runtime.parse()?;
+    let dataset = request.dataset.parse()?;
     let mut cfg = RunConfig::new().with_oag_build_threads(shared.cfg.oag_build_threads);
     if let Some(cores) = request.cores {
         if cores == 0 {
@@ -701,33 +667,22 @@ fn build_run_config(request: &RunRequest, shared: &Shared) -> Result<RunConfig, 
     }
     cfg.validate = request.validate;
     cfg.watchdog = merged_watchdog(shared.cfg.default_watchdog, request);
-    Ok(cfg)
+    Ok((workload, system, dataset, cfg))
 }
 
 /// The uninsulated run path (inside `catch_unwind`).
 fn execute_run(request: &RunRequest, shared: &Shared) -> Response {
-    let bad = |msg: String| Response::Error { kind: "bad-request".into(), message: msg };
-    let Some(workload) = pick_workload(&request.workload) else {
-        return bad(format!("unknown workload {:?}", request.workload));
+    let (workload, system, dataset, cfg) = match parse_run(request, shared) {
+        Ok(parsed) => parsed,
+        Err(message) => return Response::Error { kind: "bad-request".into(), message },
     };
-    let Some(runtime) = pick_runtime(&request.runtime) else {
-        return bad(format!("unknown runtime {:?}", request.runtime));
-    };
-    let Some(dataset) =
-        Dataset::ALL.into_iter().find(|d| d.abbrev().eq_ignore_ascii_case(&request.dataset))
-    else {
-        return bad(format!("unknown dataset {:?}", request.dataset));
-    };
-    let cfg = match build_run_config(request, shared) {
-        Ok(cfg) => cfg,
-        Err(msg) => return bad(msg),
-    };
+    let runtime = system.runtime();
     let scale = Scale(request.scale);
 
     // Phase 1: artifact preparation (LRU → disk cache → build).
     let t_prepare = Instant::now();
-    let (graph, prepared, fetch) = if uses_oags(&request.runtime) {
-        let (g, p, fetch) = shared.store.prepared(dataset, scale, &cfg);
+    let (graph, prepared, fetch) = if system.uses_oags() {
+        let (g, p, fetch) = shared.store.prepared(dataset, scale, &cfg, cfg.oag_build_threads);
         (g, Some(p), fetch)
     } else {
         let (g, fetch) = shared.store.graph(dataset, scale);

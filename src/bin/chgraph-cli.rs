@@ -18,10 +18,8 @@
 
 use archsim::SystemConfig;
 use chg_serve::WireMessage;
-use chgraph::{
-    ChGraphRuntime, GlaRuntime, HatsVRuntime, HygraRuntime, PrefetcherRuntime, RunConfig, Runtime,
-};
-use hyperalgos::{self_check, try_run_workload, Workload};
+use chgraph::{RunConfig, System};
+use hyperalgos::{self_check_prepared, try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use hypergraph::{stats, Hypergraph, Side};
 use std::collections::HashMap;
@@ -88,11 +86,7 @@ fn flag_on(flags: &HashMap<String, String>, key: &str) -> bool {
 
 fn load_input(flags: &HashMap<String, String>) -> Result<Hypergraph, String> {
     if let Some(ds) = flags.get("dataset") {
-        let dataset = Dataset::ALL
-            .into_iter()
-            .find(|d| d.abbrev().eq_ignore_ascii_case(ds))
-            .ok_or_else(|| format!("unknown dataset {ds:?}"))?;
-        return Ok(dataset.load());
+        return Ok(ds.parse::<Dataset>()?.load());
     }
     if let Some(path) = flags.get("input") {
         let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -102,40 +96,17 @@ fn load_input(flags: &HashMap<String, String>) -> Result<Hypergraph, String> {
     Err("need --dataset or --input".into())
 }
 
-fn pick_workload(name: &str) -> Option<Workload> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "bfs" => Workload::Bfs,
-        "pr" | "pagerank" => Workload::Pr,
-        "mis" => Workload::Mis,
-        "bc" => Workload::Bc,
-        "cc" => Workload::Cc,
-        "kcore" | "k-core" => Workload::KCore,
-        "sssp" => Workload::Sssp,
-        "adsorption" => Workload::Adsorption,
-        _ => return None,
-    })
-}
-
-fn pick_runtime(name: &str) -> Option<Box<dyn Runtime>> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "hygra" => Box::new(HygraRuntime),
-        "gla" => Box::new(GlaRuntime),
-        "chgraph" => Box::new(ChGraphRuntime::new()),
-        "hcg" => Box::new(ChGraphRuntime::hcg_only()),
-        "hats" | "hats-v" => Box::new(HatsVRuntime),
-        "prefetcher" => Box::new(PrefetcherRuntime),
-        _ => return None,
-    })
-}
-
 fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
     let mut g = load_input(&flags)?;
-    let workload = flags
+    let workload: Workload = flags
         .get("workload")
-        .and_then(|w| pick_workload(w))
+        .and_then(|w| w.parse().ok())
         .ok_or("missing or unknown --workload")?;
-    let runtime =
-        flags.get("runtime").and_then(|r| pick_runtime(r)).ok_or("missing or unknown --runtime")?;
+    let runtime = flags
+        .get("runtime")
+        .and_then(|r| r.parse::<System>().ok())
+        .ok_or("missing or unknown --runtime")?
+        .runtime();
     let mut cfg = RunConfig::new().with_oag_build_threads(chg_bench::default_threads());
     if let Some(t) = flags.get("threads") {
         cfg = cfg.with_oag_build_threads(t.parse().map_err(|_| "bad --threads")?);
@@ -177,8 +148,8 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
     let self_checked = flag_on(&flags, "self-check");
     let started = std::time::Instant::now();
     let report = if self_checked {
-        let checked =
-            self_check(workload, runtime.as_ref(), &g, &cfg).map_err(|e| format!("{e}"))?;
+        let checked = self_check_prepared(workload, runtime.as_ref(), &g, &cfg, None)
+            .map_err(|e| format!("{e}"))?;
         if !json {
             println!(
                 "self-check passed: {} elements match the reference\n",
@@ -187,7 +158,8 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), String> {
         }
         checked.report
     } else {
-        try_run_workload(workload, runtime.as_ref(), &g, &cfg).map_err(|e| format!("{e}"))?
+        try_run_workload_prepared(workload, runtime.as_ref(), &g, &cfg, None)
+            .map_err(|e| format!("{e}"))?
     };
     if json {
         // The same RunResult schema a daemon reply carries; a local run has
@@ -400,12 +372,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            eprintln!("error: internal panic: {msg}");
+            eprintln!("error: internal panic: {}", chg_bench::panic_message(payload));
             ExitCode::FAILURE
         }
     }

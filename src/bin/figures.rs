@@ -24,7 +24,7 @@
 //! exit) while the rest of the grid completes — guards never abort the run.
 
 use chg_bench::figures::{self, Harness};
-use chg_bench::{default_threads, PreprocessCache, Scale};
+use chg_bench::{default_threads, panic_message, PreprocessCache, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -59,12 +59,7 @@ fn emit_isolated(artifact: &str, h: &Harness) -> Result<bool, ()> {
             }
         }
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            eprintln!("[{artifact} FAILED: {msg}]");
+            eprintln!("[{artifact} FAILED: {}]", panic_message(payload));
             Ok(false)
         }
     }

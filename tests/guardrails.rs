@@ -10,7 +10,7 @@ use chgraph::{
     Algorithm, Budget, ChGraphRuntime, ExecError, GlaRuntime, HygraRuntime, RunConfig, Runtime,
     State, UpdateOutcome, WatchdogConfig,
 };
-use hyperalgos::{self_check, SelfCheckError, Workload};
+use hyperalgos::{self_check_prepared, SelfCheckError, Workload};
 use hypergraph::generate::GeneratorConfig;
 use hypergraph::{Csr, Frontier, Hypergraph, Side, ValidationError};
 use oag::{generate_chains, ChainConfig, ChainSet, OagConfig};
@@ -279,7 +279,7 @@ fn all_eight_workloads_self_check_under_every_runtime_family() {
     let cfg = small_cfg();
     for runtime in [&HygraRuntime as &dyn Runtime, &GlaRuntime, &ChGraphRuntime::new()] {
         for w in Workload::HYPERGRAPH.into_iter().chain(Workload::GRAPH) {
-            let checked = self_check(w, runtime, &g, &cfg).unwrap_or_else(|e| {
+            let checked = self_check_prepared(w, runtime, &g, &cfg, None).unwrap_or_else(|e| {
                 panic!("{w} under {} failed its self-check: {e}", runtime.name())
             });
             assert!(checked.elements_checked > 0, "{w}: nothing was compared");
@@ -291,7 +291,7 @@ fn all_eight_workloads_self_check_under_every_runtime_family() {
 fn self_check_reports_budget_trips_as_exec_errors_with_progress() {
     let g = GeneratorConfig::new(160, 90).with_seed(22).generate();
     let cfg = small_cfg().with_max_cycles(1);
-    match self_check(Workload::Cc, &HygraRuntime, &g, &cfg) {
+    match self_check_prepared(Workload::Cc, &HygraRuntime, &g, &cfg, None) {
         Err(SelfCheckError::Exec(ExecError::BudgetExceeded { progress, .. })) => {
             assert!(progress.cycles > 0, "partial stats survive the trip");
         }

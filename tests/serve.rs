@@ -14,7 +14,7 @@ use chg_serve::proto::{self, fingerprint_report};
 use chg_serve::{
     Client, ClientError, ProtoError, Request, Response, RunRequest, ServeConfig, Server,
 };
-use hyperalgos::{try_run_workload, Workload};
+use hyperalgos::{try_run_workload_prepared, Workload};
 use hypergraph::datasets::Dataset;
 use proptest::prelude::*;
 use std::net::SocketAddr;
@@ -90,8 +90,9 @@ fn second_identical_request_hits_the_lru_with_identical_result() {
     // same config knobs, no daemon, no cache.
     let g = chg_bench::load_scaled(Dataset::LiveJournal, chg_bench::Scale(SCALE));
     let cfg = chgraph::RunConfig::new().with_oag_build_threads(1).with_max_iterations(4);
-    let direct = try_run_workload(Workload::Pr, &chgraph::ChGraphRuntime::new(), &g, &cfg)
-        .expect("direct run");
+    let direct =
+        try_run_workload_prepared(Workload::Pr, &chgraph::ChGraphRuntime::new(), &g, &cfg, None)
+            .expect("direct run");
     assert_eq!(
         first.fingerprint,
         format!("{:016x}", fingerprint_report(&direct)),
@@ -364,6 +365,23 @@ fn duplicate_request_key_executes_once_with_identical_replies() {
             assert!(message.contains("request_key"), "message should name the key: {message}");
         }
         other => panic!("expected bad-request for a reused key, got {other:?}"),
+    }
+
+    // Unknown names are bad requests that quote the offending name.
+    for (field, name) in [("workload", "dfs"), ("runtime", "hats-x"), ("dataset", "XX")] {
+        let mut req = base_request();
+        match field {
+            "workload" => req.workload = name.into(),
+            "runtime" => req.runtime = name.into(),
+            _ => req.dataset = name.into(),
+        }
+        match client.run(req) {
+            Err(ClientError::Server { kind, message }) => {
+                assert_eq!(kind, "bad-request");
+                assert_eq!(message, format!("unknown {field} {name:?}"));
+            }
+            other => panic!("expected bad-request for unknown {field} {name:?}, got {other:?}"),
+        }
     }
 
     let mut closer = connect(addr);
