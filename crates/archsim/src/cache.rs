@@ -1,13 +1,20 @@
 //! A set-associative write-back cache with true-LRU replacement.
 //!
-//! Storage is a single flat SoA allocation (`sets × ways` entries split
-//! into parallel tag / flag / LRU-stamp arrays) rather than a `Vec` per
-//! set: one simulated access touches a handful of adjacent array slots
-//! with no pointer chase and no per-access allocation, which matters
-//! because every simulated memory reference in this repository funnels
-//! through [`Cache::access`]. The pre-rewrite nested layout is retained in
-//! [`crate::reference`] (under the `reference-kernels` feature) and the
-//! identity tests pin the two bit-identical.
+//! Storage is two flat arrays (`sets × ways` tags, and one small state
+//! record per set) rather than a `Vec` per set: one simulated
+//! access touches a handful of adjacent array slots with no pointer chase
+//! and no per-access allocation, which matters because every simulated
+//! memory reference in this repository funnels through this type. The
+//! pre-rewrite nested layout is retained in [`crate::reference`] (under the
+//! `reference-kernels` feature) and the identity tests pin the two
+//! bit-identical.
+//!
+//! Replacement needs no clock: each set keeps a valid-way mask (a fill
+//! takes the first invalid way) and its ways' recency order packed four
+//! bits per way into one `u64`, most recent way in the low nibble, so the
+//! LRU victim of a full set is its last nibble. A caller that already knows
+//! whether a line is resident (the [`crate::Machine`] directory does) passes
+//! that answer to [`Cache::access_known`] and skips the tag scan on a miss.
 
 use crate::CacheConfig;
 
@@ -23,11 +30,50 @@ pub struct CacheAccess {
     pub evicted: Option<u64>,
 }
 
-/// Dirty bit in the per-line `flags` array. Validity is *not* a flag: it
-/// lives in bit 0 of the stored tag ([`Cache::tags`]), so the hit scan and
-/// the victim scan read the tag array alone and `flags` is only touched on
-/// writes, fills, and evictions.
-const DIRTY: u8 = 1 << 1;
+const HIT: CacheAccess = CacheAccess { hit: true, writeback: None, evicted: None };
+
+/// `0x1111…1`: multiplying a way number by it repeats the way in every
+/// nibble (the recency-order search key).
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// Per-set replacement and dirty state.
+#[derive(Clone, Copy, Debug)]
+struct SetState {
+    /// Every way of the set, most recently filled or hit first, four bits
+    /// per way (way numbers in the low `ways` nibbles; higher nibbles stay
+    /// zero). Only the relative order of *valid* ways matters: an
+    /// invalidated way keeps its slot until a fill moves it to the front,
+    /// and fills prefer invalid ways regardless of their slot.
+    order: u64,
+    /// Bit `w` set: way `w` holds a line.
+    valid: u16,
+    /// Bit `w` set: way `w` holds a dirty line.
+    dirty: u16,
+}
+
+impl SetState {
+    /// An empty set of `ways` ways, recency order `0, 1, …, ways - 1`.
+    fn empty(ways: usize) -> Self {
+        let order = (0..ways as u64).fold(0, |o, w| o | w << (4 * w));
+        SetState { order, valid: 0, dirty: 0 }
+    }
+
+    /// Moves `way` to the front of the recency order.
+    #[inline]
+    fn promote(&mut self, way: usize) {
+        // Zero-nibble search (SWAR): nibbles of `x` are zero exactly where
+        // `order` holds `way`. Borrows only run upward from a zero nibble,
+        // so the lowest flagged nibble is exact, and `way` occurs once
+        // among the low `ways` nibbles (any unused high nibble equal to
+        // `way` sits above it).
+        let x = self.order ^ (way as u64).wrapping_mul(NIBBLE_ONES);
+        let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+        let at = zero.trailing_zeros() & !3;
+        let newer = self.order & ((1u64 << at) - 1);
+        let older = self.order & (!0u64 << at << 4);
+        self.order = older | newer << 4 | way as u64;
+    }
+}
 
 /// A single set-associative write-back cache with LRU replacement.
 ///
@@ -43,38 +89,41 @@ const DIRTY: u8 = 1 << 1;
 pub struct Cache {
     /// Line tags, `sets × ways`, indexed `set * ways + way`. Stored as
     /// `(tag << 1) | 1` for resident lines and `0` for invalid ways, so a
-    /// single `u64` compare per way answers "valid and matching" and the
-    /// victim scan spots invalid ways without loading a second array. An
-    /// 8-way set's tags are exactly one 64-byte host line.
+    /// single `u64` compare per way answers "valid and matching". An 8-way
+    /// set's tags are exactly one 64-byte host line.
     tags: Box<[u64]>,
-    /// Last-touch stamps (true LRU), same indexing. Deliberately `u32`, not
-    /// `u64`: the victim scan reads every way's stamp, so stamp width is
-    /// directly victim-scan footprint (a 16-way set's stamps fit one host
-    /// cache line at 4 bytes, two at 8). LRU only ever compares stamps
-    /// *within* a set, so when the 32-bit clock runs out the stamps are
-    /// re-based to their per-set LRU ranks ([`compact_stamps`]
-    /// (Self::compact_stamps)) — order-preserving, hence unobservable —
-    /// instead of widening the array.
-    stamps: Box<[u32]>,
-    /// Per-line [`VALID`]/[`DIRTY`] bits, same indexing.
-    flags: Box<[u8]>,
+    /// Replacement and dirty state, one record per set.
+    sets: Box<[SetState]>,
     ways: usize,
+    /// Valid mask of a full set.
+    full: u16,
+    /// Bit offset of the last (least recent) way's nibble in
+    /// [`SetState::order`].
+    lru_shift: u32,
     set_mask: u64,
     /// `set_mask.count_ones()`, precomputed so neither lookup nor the fill
     /// path recomputes index geometry per access.
     set_bits: u32,
     line_shift: u32,
-    stamp: u32,
 }
 
 impl Cache {
+    /// The largest associativity the four-bit recency order can hold.
+    pub const MAX_WAYS: usize = 16;
+
     /// Creates an empty cache from `cfg` with the given line size.
     ///
     /// # Panics
     ///
-    /// Panics if the set count is not a power of two or the geometry is
-    /// degenerate.
+    /// Panics if the set count is not a power of two, the associativity
+    /// exceeds [`Cache::MAX_WAYS`], or the geometry is degenerate.
     pub fn new(cfg: &CacheConfig, line_bytes: usize) -> Self {
+        assert!(
+            (1..=Self::MAX_WAYS).contains(&cfg.ways),
+            "cache associativity must be 1..={} ways (configured: {})",
+            Self::MAX_WAYS,
+            cfg.ways
+        );
         let num_sets = cfg.num_sets(line_bytes);
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         // invariant: the stored-tag encoding shifts the tag left by one, so
@@ -84,16 +133,15 @@ impl Cache {
             line_bytes >= 2 || num_sets >= 2,
             "degenerate 1-byte-line single-set geometry overflows the tag encoding"
         );
-        let entries = num_sets * cfg.ways;
         Cache {
-            tags: vec![0; entries].into_boxed_slice(),
-            stamps: vec![0; entries].into_boxed_slice(),
-            flags: vec![0; entries].into_boxed_slice(),
+            tags: vec![0; num_sets * cfg.ways].into_boxed_slice(),
+            sets: vec![SetState::empty(cfg.ways); num_sets].into_boxed_slice(),
             ways: cfg.ways,
+            full: ((1u32 << cfg.ways) - 1) as u16,
+            lru_shift: 4 * (cfg.ways as u32 - 1),
             set_mask: num_sets as u64 - 1,
             set_bits: (num_sets as u64 - 1).count_ones(),
             line_shift: line_bytes.trailing_zeros(),
-            stamp: 0,
         }
     }
 
@@ -104,108 +152,101 @@ impl Cache {
         ((line & self.set_mask) as usize, ((line >> self.set_bits) << 1) | 1)
     }
 
-    /// Reconstructs a line's byte address from its stored tag and set index.
+    /// The way of `set_idx` holding `probe`, if any: a branch-free compare
+    /// of every way's tag into a bit mask.
     #[inline]
-    fn line_addr(&self, stored_tag: u64, set_idx: usize) -> u64 {
-        (((stored_tag >> 1) << self.set_bits) | set_idx as u64) << self.line_shift
-    }
-
-    /// Index of `addr`'s way within its set, if resident.
-    #[inline]
-    fn find(&self, addr: u64) -> Option<usize> {
-        let (set_idx, probe) = self.locate(addr);
+    fn way_of(&self, set_idx: usize, probe: u64) -> Option<usize> {
         let base = set_idx * self.ways;
-        (base..base + self.ways).find(|&i| self.tags[i] == probe)
+        let hits = self.tags[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (w, &t)| m | u32::from(t == probe) << w);
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    /// Re-bases every stamp to its LRU rank within its set (`1..=ways`) and
-    /// pulls the clock back to `ways`, freeing the rest of the `u32` stamp
-    /// space. Victim selection compares stamps only within a set and ranks
-    /// preserve that order exactly, so compaction is unobservable; it runs
-    /// once per `u32::MAX` accesses (amortized zero) plus on
-    /// [`force_stamp`](Self::force_stamp).
-    fn compact_stamps(&mut self) {
-        let ways = self.ways;
-        let mut old: Vec<u32> = Vec::with_capacity(ways);
-        for set in 0..self.tags.len() / ways {
-            let base = set * ways;
-            old.clear();
-            old.extend_from_slice(&self.stamps[base..base + ways]);
-            for i in 0..ways {
-                // Rank = number of ways stamped strictly earlier (stamps of
-                // valid ways are unique; invalid ways' stamps are never
-                // compared, so their tie-break is irrelevant).
-                let rank = old
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, &s)| s < old[i] || (s == old[i] && j < i))
-                    .count();
-                self.stamps[base + i] = rank as u32 + 1;
-            }
-        }
-        self.stamp = self.ways as u32;
-    }
-
-    /// Forces the LRU clock (test support for stamp-wrap coverage: park it
-    /// just below `u32::MAX` and keep accessing). Compacts first, so
-    /// current LRU order is preserved and `stamp` is a valid clock floor.
-    pub fn force_stamp(&mut self, stamp: u32) {
-        self.compact_stamps();
-        self.stamp = self.stamp.max(stamp);
+    /// Index of `addr`'s set and way, if resident.
+    #[inline]
+    fn find(&self, addr: u64) -> Option<(usize, usize)> {
+        let (set_idx, probe) = self.locate(addr);
+        self.way_of(set_idx, probe).map(|way| (set_idx, way))
     }
 
     /// Looks up `addr`; on a miss, fills the line (write-allocate). `write`
     /// marks the line dirty.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
-        if self.stamp == u32::MAX {
-            self.compact_stamps();
-        }
-        self.stamp += 1;
-        let stamp = self.stamp;
         let (set_idx, probe) = self.locate(addr);
-        let base = set_idx * self.ways;
-        // Victim scan fused with the hit scan: one pass over the tag array
-        // alone (validity is the tag's bit 0) finds the matching way or,
-        // failing that, the first way with the least LRU key (invalid ways
-        // order before any valid one), matching the reference layout's
-        // `min_by_key` tie-breaking exactly. Read hits never touch `flags`.
-        let mut victim = base;
-        let mut victim_key = u32::MAX;
-        for i in base..base + self.ways {
-            let t = self.tags[i];
-            if t == probe {
-                self.stamps[i] = stamp;
-                if write {
-                    self.flags[i] |= DIRTY;
-                }
-                return CacheAccess { hit: true, writeback: None, evicted: None };
+        let way = self.way_of(set_idx, probe);
+        self.touch_or_fill(set_idx, probe, way, write)
+    }
+
+    /// [`access`](Self::access) for a caller that already knows whether the
+    /// line is `resident`: a miss goes straight to the fill without a tag
+    /// scan, and a hit scans only to find its way (not at all when it is
+    /// the set's most recent one).
+    ///
+    /// In debug builds, panics if `resident` is wrong.
+    #[inline]
+    pub fn access_known(&mut self, addr: u64, write: bool, resident: bool) -> CacheAccess {
+        let (set_idx, probe) = self.locate(addr);
+        let way = if resident {
+            // Repeated touches of one line find it in the most recent way:
+            // no scan, and promotion would be a no-op.
+            let mru = (self.sets[set_idx].order & 0xF) as usize;
+            if self.tags[set_idx * self.ways + mru] == probe {
+                self.sets[set_idx].dirty |= u16::from(write) << mru;
+                return HIT;
             }
-            if t & 1 != 0 {
-                let key = self.stamps[i] + 1;
-                if key < victim_key {
-                    victim_key = key;
-                    victim = i;
-                }
-            } else if victim_key > 0 {
-                victim_key = 0;
-                victim = i;
-            }
+            let way = self.way_of(set_idx, probe);
+            debug_assert!(way.is_some(), "line {addr:#x} reported resident but absent");
+            way
+        } else {
+            debug_assert!(
+                self.way_of(set_idx, probe).is_none(),
+                "line {addr:#x} reported absent but resident"
+            );
+            None
+        };
+        self.touch_or_fill(set_idx, probe, way, write)
+    }
+
+    /// The one hit/fill path behind both entry points: touch `way` on a
+    /// hit; otherwise fill `probe` over the first invalid way or, in a full
+    /// set, the least recently used one (the reference layout's
+    /// `min_by_key` tie-breaking exactly).
+    #[inline]
+    fn touch_or_fill(
+        &mut self,
+        set_idx: usize,
+        probe: u64,
+        way: Option<usize>,
+        write: bool,
+    ) -> CacheAccess {
+        let set = &mut self.sets[set_idx];
+        if let Some(way) = way {
+            set.promote(way);
+            set.dirty |= u16::from(write) << way;
+            return HIT;
         }
-        // Miss: fill over the victim.
         let mut writeback = None;
         let mut evicted = None;
-        let vt = self.tags[victim];
-        if vt & 1 != 0 {
-            let evicted_addr = self.line_addr(vt, set_idx);
+        let victim = if set.valid != self.full {
+            (!set.valid).trailing_zeros() as usize
+        } else {
+            let victim = (set.order >> self.lru_shift) as usize & 0xF;
+            let evicted_addr = (((self.tags[set_idx * self.ways + victim] >> 1) << self.set_bits)
+                | set_idx as u64)
+                << self.line_shift;
             evicted = Some(evicted_addr);
-            if self.flags[victim] & DIRTY != 0 {
+            if set.dirty & (1 << victim) != 0 {
                 writeback = Some(evicted_addr);
             }
-        }
-        self.tags[victim] = probe;
-        self.stamps[victim] = stamp;
-        self.flags[victim] = if write { DIRTY } else { 0 };
+            victim
+        };
+        set.promote(victim);
+        set.valid |= 1 << victim;
+        set.dirty = set.dirty & !(1 << victim) | u16::from(write) << victim;
+        self.tags[set_idx * self.ways + victim] = probe;
         CacheAccess { hit: false, writeback, evicted }
     }
 
@@ -218,10 +259,12 @@ impl Cache {
     /// Invalidates the line containing `addr` if present; returns whether it
     /// was dirty (the caller decides what to do with the data).
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let i = self.find(addr)?;
-        let dirty = self.flags[i] & DIRTY != 0;
-        self.tags[i] = 0;
-        self.flags[i] = 0;
+        let (set_idx, way) = self.find(addr)?;
+        let set = &mut self.sets[set_idx];
+        let dirty = set.dirty & (1 << way) != 0;
+        set.valid &= !(1 << way);
+        set.dirty &= !(1 << way);
+        self.tags[set_idx * self.ways + way] = 0;
         Some(dirty)
     }
 
@@ -229,8 +272,8 @@ impl Cache {
     /// is propagated to an inclusive parent).
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         match self.find(addr) {
-            Some(i) => {
-                self.flags[i] |= DIRTY;
+            Some((set_idx, way)) => {
+                self.sets[set_idx].dirty |= 1 << way;
                 true
             }
             None => false,
@@ -240,14 +283,13 @@ impl Cache {
     /// Drops every line, forgetting dirtiness (used between independent
     /// simulations, never mid-run).
     pub fn flush_silently(&mut self) {
-        self.flags.fill(0);
         self.tags.fill(0);
-        self.stamps.fill(0);
+        self.sets.fill(SetState::empty(self.ways));
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t & 1 != 0).count()
+        self.sets.iter().map(|s| s.valid.count_ones() as usize).sum()
     }
 }
 
@@ -380,33 +422,29 @@ mod tests {
         }
     }
 
-    /// Parking the `u32` LRU clock at the very top and continuing to access
-    /// must be unobservable: the rank compaction preserves per-set LRU
-    /// order, so the stream stays identical to the never-wrapping `u64`
-    /// reference across the wrap.
+    /// A long stream stays identical to the reference's never-wrapping
+    /// `u64` LRU clock: the flat cache's positional recency order has no
+    /// clock of its own to overflow.
     #[test]
     fn lru_survives_stamp_wraparound() {
         let cfg = CacheConfig { size_bytes: 1024, ways: 4, latency: 1 };
         let mut flat = Cache::new(&cfg, 64);
         let mut nested = crate::reference::Cache::new(&cfg, 64);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        // Warm both with an identical prefix so compaction has real LRU
-        // state to preserve.
+        // Warm both with an identical prefix, then compare the second half
+        // from that LRU state.
         for _ in 0..2_000u64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let addr = (state >> 16) % (cfg.size_bytes as u64 * 8);
             assert_eq!(flat.access(addr, state & 1 == 1), nested.access(addr, state & 1 == 1));
         }
-        // Wrap the flat cache's clock mid-stream (the reference's u64 clock
-        // never wraps; divergence would surface immediately).
-        flat.force_stamp(u32::MAX - 50);
         for step in 0..2_000u64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let addr = (state >> 16) % (cfg.size_bytes as u64 * 8);
             assert_eq!(
                 flat.access(addr, state & 1 == 1),
                 nested.access(addr, state & 1 == 1),
-                "step {step} after forcing the clock to the wrap edge"
+                "step {step} of the second half"
             );
         }
         assert_eq!(flat.resident_lines(), nested.resident_lines());
@@ -415,10 +453,11 @@ mod tests {
     /// Exhaustive stream identity against the retained nested reference
     /// implementation, across several geometries (the proptest suite in the
     /// workspace root covers random geometries; this unit test is the
-    /// fast smoke version).
+    /// fast smoke version). Op 3 drives [`Cache::access_known`] with
+    /// `contains` as the residency answer.
     #[test]
     fn matches_reference_cache_on_mixed_streams() {
-        for (size, ways) in [(256usize, 2usize), (512, 4), (1024, 1), (4096, 8)] {
+        for (size, ways) in [(256usize, 2usize), (512, 4), (1024, 1), (4096, 8), (2048, 16)] {
             let cfg = CacheConfig { size_bytes: size, ways, latency: 1 };
             let mut flat = Cache::new(&cfg, 64);
             let mut nested = crate::reference::Cache::new(&cfg, 64);
@@ -431,6 +470,14 @@ mod tests {
                     0 => assert_eq!(flat.invalidate(addr), nested.invalidate(addr), "step {step}"),
                     1 => assert_eq!(flat.mark_dirty(addr), nested.mark_dirty(addr), "step {step}"),
                     2 => assert_eq!(flat.contains(addr), nested.contains(addr), "step {step}"),
+                    3 => {
+                        let resident = flat.contains(addr);
+                        assert_eq!(
+                            flat.access_known(addr, write, resident),
+                            nested.access(addr, write),
+                            "step {step}"
+                        );
+                    }
                     _ => assert_eq!(
                         flat.access(addr, write),
                         nested.access(addr, write),
@@ -440,5 +487,11 @@ mod tests {
             }
             assert_eq!(flat.resident_lines(), nested.resident_lines());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache associativity must be 1..=16 ways (configured: 17)")]
+    fn seventeen_ways_are_rejected() {
+        let _ = Cache::new(&CacheConfig { size_bytes: 17 * 64, ways: 17, latency: 1 }, 64);
     }
 }

@@ -1,5 +1,6 @@
 //! Machine configuration (the paper's Table I).
 
+use crate::Cache;
 use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
@@ -143,11 +144,20 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any cache geometry is degenerate, the NoC cannot address
-    /// every core/bank, or a zero count is configured.
+    /// Panics if any cache geometry is degenerate or wider than
+    /// [`Cache::MAX_WAYS`], the NoC cannot address every core/bank, or a
+    /// zero count is configured.
     pub fn validate(&self) {
         assert!(self.num_cores > 0, "need at least one core");
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
+        for (level, c) in [("L1", &self.l1), ("L2", &self.l2), ("L3", &self.l3)] {
+            assert!(
+                (1..=Cache::MAX_WAYS).contains(&c.ways),
+                "{level} associativity must be 1..={} ways (configured: {})",
+                Cache::MAX_WAYS,
+                c.ways
+            );
+        }
         let _ = self.l1.num_sets(self.line_bytes);
         let _ = self.l2.num_sets(self.line_bytes);
         let _ = self.l3.num_sets(self.line_bytes) / self.l3_banks.max(1);
@@ -218,6 +228,21 @@ mod tests {
         let mut c = SystemConfig::paper();
         c.noc.width = 2;
         c.noc.height = 2;
+        c.validate();
+    }
+
+    #[test]
+    fn validate_accepts_sixteen_ways() {
+        let mut c = SystemConfig::paper();
+        c.l1.ways = 16;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 associativity must be 1..=16 ways (configured: 17)")]
+    fn validate_rejects_seventeen_ways() {
+        let mut c = SystemConfig::paper();
+        c.l2.ways = 17;
         c.validate();
     }
 }

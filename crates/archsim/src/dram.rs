@@ -30,8 +30,11 @@ impl DramModel {
 
     /// Services one line transfer for the line containing `addr`, issued at
     /// absolute cycle `now`. Returns the total latency (queueing + access).
+    /// `line_bytes` must be a power of two, as
+    /// [`SystemConfig::validate`](crate::SystemConfig::validate) requires.
     pub fn access(&mut self, addr: u64, line_bytes: u64, now: u64) -> u64 {
-        let line = addr / line_bytes;
+        debug_assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        let line = addr >> line_bytes.trailing_zeros();
         let ctrl = self.controller_of(line);
         let start = self.next_free[ctrl].max(now);
         let queue_delay = start - now;

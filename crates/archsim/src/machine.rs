@@ -61,6 +61,16 @@ impl std::fmt::Display for MachineConfigError {
 
 impl std::error::Error for MachineConfigError {}
 
+/// Where one line is resident among the private caches: one bit per core.
+/// L1 ⊆ L2, so an `l1` bit implies the same `l2` bit.
+#[derive(Clone, Copy, Default)]
+struct Presence {
+    /// Cores whose private L1 holds the line.
+    l1: u32,
+    /// Cores whose private L2 holds the line (the coherence sharers).
+    l2: u32,
+}
+
 /// The simulated multicore machine.
 ///
 /// Every data access of a runtime goes through [`Machine::access`], naming
@@ -69,18 +79,28 @@ impl std::error::Error for MachineConfigError {}
 /// [`Level::L2`] for the ChGraph engine, which sits beside the L1 and
 /// "accesses the main memory via the L2 cache", §V-A), and the issuing
 /// component's local cycle count (used for DRAM contention).
+///
+/// Every "is this line resident?" question is answered from a line-indexed
+/// presence directory kept exact on every fill, eviction and
+/// invalidation, so a miss goes straight to the fill and a cache's tag
+/// array is scanned only to find the way of a line known to be there.
 pub struct Machine {
     cfg: SystemConfig,
     map: AddressMap,
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     l3_banks: Vec<Cache>,
-    noc: MeshNoc,
+    /// `core * l3_banks + bank` -> NoC round-trip latency.
+    noc_round_trip: Box<[u64]>,
     dram: DramModel,
     stats: MemStats,
-    /// Line number (`addr >> log2(line_bytes)`) over the address map's
-    /// footprint -> bitmask of cores whose private L2 holds the line.
-    directory: Box<[u32]>,
+    /// Line number (`addr >> line_shift`) over the address map's footprint
+    /// -> the private caches holding the line.
+    directory: Box<[Presence]>,
+    /// Line number -> whether the line's L3 bank holds it.
+    in_l3: Box<[bool]>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
 }
 
 impl Machine {
@@ -114,14 +134,20 @@ impl Machine {
         }
         let mut bank_cfg = cfg.l3;
         bank_cfg.size_bytes /= cfg.l3_banks;
+        let noc = MeshNoc::new(cfg.noc);
+        let lines = map.footprint().div_ceil(cfg.line_bytes as u64) as usize;
         Ok(Machine {
             l1: (0..cfg.num_cores).map(|_| Cache::new(&cfg.l1, cfg.line_bytes)).collect(),
             l2: (0..cfg.num_cores).map(|_| Cache::new(&cfg.l2, cfg.line_bytes)).collect(),
             l3_banks: (0..cfg.l3_banks).map(|_| Cache::new(&bank_cfg, cfg.line_bytes)).collect(),
-            noc: MeshNoc::new(cfg.noc),
+            noc_round_trip: (0..cfg.num_cores)
+                .flat_map(|core| (0..cfg.l3_banks).map(move |bank| noc.round_trip(core, bank)))
+                .collect(),
             dram: DramModel::new(cfg.dram),
             stats: MemStats::new(),
-            directory: vec![0; map.footprint().div_ceil(cfg.line_bytes as u64) as usize].into(),
+            directory: vec![Presence::default(); lines].into(),
+            in_l3: vec![false; lines].into(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
             cfg,
             map,
         })
@@ -152,15 +178,28 @@ impl Machine {
         addr & !(self.cfg.line_bytes as u64 - 1)
     }
 
-    /// The directory's sharer bitmask for a line address.
+    /// The directory index of a line address.
+    #[inline]
+    fn line_index(&self, line_addr: u64) -> usize {
+        (line_addr >> self.line_shift) as usize
+    }
+
+    /// The directory's presence record for a line address.
+    #[inline]
+    fn presence(&mut self, line_addr: u64) -> &mut Presence {
+        let i = self.line_index(line_addr);
+        &mut self.directory[i]
+    }
+
+    /// The directory's sharer bitmask (L2 presence) for a line address.
     #[inline]
     fn sharers(&mut self, line_addr: u64) -> &mut u32 {
-        &mut self.directory[(line_addr >> self.cfg.line_bytes.trailing_zeros()) as usize]
+        &mut self.presence(line_addr).l2
     }
 
     #[inline]
     fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.cfg.line_bytes as u64) as usize) % self.cfg.l3_banks
+        self.line_index(line_addr) % self.cfg.l3_banks
     }
 
     /// Simulates one access. See the type-level docs for parameter meaning.
@@ -181,54 +220,68 @@ impl Machine {
         assert!(core < self.cfg.num_cores, "core {core} out of range");
         let addr = self.map.addr(region, index);
         let line = self.line_addr(addr);
+        let li = self.line_index(line);
+        let bit = 1u32 << core;
         let write = kind == AccessKind::Write;
         let mut latency = 0u64;
 
         // ---- L1 (skipped for engine-entry accesses) ----
         if entry == Level::L1 {
             latency += self.cfg.l1.latency;
-            let l1_res = self.l1[core].access(addr, write);
+            let in_l1 = self.directory[li].l1 & bit != 0;
+            let l1_res = self.l1[core].access_known(addr, write, in_l1);
             if l1_res.hit {
                 if write {
-                    latency += self.invalidate_remote_sharers(core, line, region);
+                    latency += self.invalidate_remote_sharers(core, line);
                 }
                 self.stats.record(region, Level::L1);
                 return AccessResult { level: Level::L1, latency };
             }
             // The miss above already allocated the line (single-pass model);
             // fold the dirty victim, if any, into the inclusive L2 copy.
-            if let Some(victim) = l1_res.writeback {
-                if !self.l2[core].mark_dirty(victim) {
-                    // L2 (and hence L3) already lost the line.
-                    self.stats.record_writeback(self.map.classify(victim));
+            self.directory[li].l1 |= bit;
+            if let Some(victim) = l1_res.evicted {
+                let victim_presence = self.presence(victim);
+                victim_presence.l1 &= !bit;
+                let in_l2 = victim_presence.l2 & bit != 0;
+                if l1_res.writeback.is_some() {
+                    if in_l2 {
+                        let marked = self.l2[core].mark_dirty(victim);
+                        debug_assert!(marked, "L2 presence bit set for absent line {victim:#x}");
+                    } else {
+                        // L2 (and hence L3) already lost the line.
+                        self.stats.record_writeback(self.map.classify(victim));
+                    }
                 }
             }
         }
 
         // ---- L2 ----
         latency += self.cfg.l2.latency;
-        let l2_res = self.l2[core].access(addr, write && entry == Level::L2);
-        self.handle_private_fill_side_effects(core, l2_res.evicted, l2_res.writeback);
+        let in_l2 = self.directory[li].l2 & bit != 0;
+        let l2_res = self.l2[core].access_known(addr, write && entry == Level::L2, in_l2);
         if l2_res.hit {
             if write {
-                latency += self.invalidate_remote_sharers(core, line, region);
+                latency += self.invalidate_remote_sharers(core, line);
             }
             self.stats.record(region, Level::L2);
             return AccessResult { level: Level::L2, latency };
         }
+        self.handle_private_fill_side_effects(core, l2_res.evicted, l2_res.writeback);
         // Newly filled into this core's L2: record the sharer.
-        *self.sharers(line) |= 1 << core;
+        *self.sharers(line) |= bit;
 
         // ---- L3 (over the NoC) ----
         let bank = self.bank_of(line);
-        latency += self.noc.round_trip(core, bank);
+        latency += self.noc_round_trip[core * self.cfg.l3_banks + bank];
         latency += self.cfg.l3.latency;
-        let l3_res = self.l3_banks[bank].access(addr, false);
+        let l3_res = self.l3_banks[bank].access_known(addr, false, self.in_l3[li]);
+        self.in_l3[li] = true;
         if let Some(evicted) = l3_res.evicted {
             self.handle_l3_eviction(evicted, l3_res.writeback.is_some());
         }
         if write {
-            latency += self.invalidate_remote_sharers(core, line, region);
+            latency += self.invalidate_remote_sharers(core, line);
         }
         if l3_res.hit {
             self.stats.record(region, Level::L3);
@@ -251,20 +304,50 @@ impl Machine {
         writeback: Option<u64>,
     ) {
         let Some(victim_line) = evicted else { return };
+        let bit = 1u32 << core;
+        let victim_presence = self.presence(victim_line);
+        let in_l1 = victim_presence.l1 & bit != 0;
+        victim_presence.l1 &= !bit;
+        victim_presence.l2 &= !bit;
         // Inclusion: L1 cannot keep a line its L2 lost.
-        let l1_dirty = self.l1[core].invalidate(victim_line).unwrap_or(false);
-        *self.sharers(victim_line) &= !(1 << core);
+        let l1_dirty = in_l1 && self.l1[core].invalidate(victim_line) == Some(true);
         if writeback.is_some() || l1_dirty {
             // The read-only OAG arrays are never dirty (paper §V-A notes
             // their lines are dropped, not written back); assert the model
             // agrees rather than special-casing.
             debug_assert!(!self.map.classify(victim_line).is_oag(), "OAG lines are never dirty");
-            let bank = self.bank_of(victim_line);
-            if !self.l3_banks[bank].mark_dirty(victim_line) {
-                // L3 already lost the line: the writeback goes to DRAM.
-                self.stats.record_writeback(self.map.classify(victim_line));
-            }
+            self.write_back_to_l3(victim_line);
         }
+    }
+
+    /// Folds dirty private data into the line's L3 copy, or, if the L3
+    /// already lost the line, records the writeback to DRAM.
+    fn write_back_to_l3(&mut self, line: u64) {
+        if self.in_l3[self.line_index(line)] {
+            let bank = self.bank_of(line);
+            let marked = self.l3_banks[bank].mark_dirty(line);
+            debug_assert!(marked, "L3 presence bit set for absent line {line:#x}");
+        } else {
+            self.stats.record_writeback(self.map.classify(line));
+        }
+    }
+
+    /// Invalidates `line` in the L1 and L2 of every core in `cores` (whose
+    /// copies the caller has already dropped from the directory, with
+    /// `in_l1` their L1 bits) and returns whether any copy was dirty.
+    fn invalidate_private_copies(&mut self, line: u64, mut cores: u32, in_l1: u32) -> bool {
+        let mut dirty = false;
+        while cores != 0 {
+            let core = cores.trailing_zeros() as usize;
+            cores &= cores - 1;
+            if in_l1 & (1 << core) != 0 {
+                dirty |= self.l1[core].invalidate(line) == Some(true);
+            }
+            let l2_copy = self.l2[core].invalidate(line);
+            debug_assert!(l2_copy.is_some(), "L2 presence bit set for absent line {line:#x}");
+            dirty |= l2_copy == Some(true);
+        }
+        dirty
     }
 
     /// Handles an L3 eviction. Inclusive hierarchy: back-invalidate every
@@ -272,15 +355,12 @@ impl Machine {
     /// Non-inclusive hierarchy: private copies (and the directory) survive;
     /// only the L3's own dirty data is written back.
     fn handle_l3_eviction(&mut self, victim_line: u64, l3_dirty: bool) {
+        let victim = self.line_index(victim_line);
+        self.in_l3[victim] = false;
         let mut dirty = l3_dirty;
         if self.cfg.l3_inclusive {
-            let shares = std::mem::take(self.sharers(victim_line));
-            for core in 0..self.cfg.num_cores {
-                if shares & (1 << core) != 0 {
-                    dirty |= self.l1[core].invalidate(victim_line).unwrap_or(false);
-                    dirty |= self.l2[core].invalidate(victim_line).unwrap_or(false);
-                }
-            }
+            let copies = std::mem::take(&mut self.directory[victim]);
+            dirty |= self.invalidate_private_copies(victim_line, copies.l2, copies.l1);
         }
         if dirty {
             self.stats.record_writeback(self.map.classify(victim_line));
@@ -289,26 +369,19 @@ impl Machine {
 
     /// MESI-lite: a write invalidates every other core's copy. Returns the
     /// coherence latency charged (zero when the line is private).
-    fn invalidate_remote_sharers(&mut self, core: usize, line: u64, _region: Region) -> u64 {
-        let shares = self.sharers(line);
-        let others = *shares & !(1 << core);
+    fn invalidate_remote_sharers(&mut self, core: usize, line: u64) -> u64 {
+        let bit = 1u32 << core;
+        let copies = self.presence(line);
+        let others = copies.l2 & !bit;
         if others == 0 {
             return 0;
         }
-        *shares &= 1 << core;
-        let mut dirty = false;
-        for other in 0..self.cfg.num_cores {
-            if others & (1 << other) != 0 {
-                dirty |= self.l1[other].invalidate(line).unwrap_or(false);
-                dirty |= self.l2[other].invalidate(line).unwrap_or(false);
-            }
-        }
-        if dirty {
+        let others_l1 = copies.l1 & others;
+        copies.l1 &= bit;
+        copies.l2 &= bit;
+        if self.invalidate_private_copies(line, others, others_l1) {
             // The dirty remote copy is folded into the L3 before our write.
-            let bank = self.bank_of(line);
-            if !self.l3_banks[bank].mark_dirty(line) {
-                self.stats.record_writeback(self.map.classify(line));
-            }
+            self.write_back_to_l3(line);
         }
         self.stats.invalidations += 1;
         self.cfg.coherence_latency
@@ -326,7 +399,8 @@ impl Machine {
         for c in &mut self.l3_banks {
             c.flush_silently();
         }
-        self.directory.fill(0);
+        self.directory.fill(Presence::default());
+        self.in_l3.fill(false);
     }
 }
 
@@ -523,5 +597,83 @@ mod tests {
         cfg.noc.height = 6;
         let map = AddressMap::new(cfg.line_bytes);
         assert!(Machine::try_new(cfg, map).is_ok());
+    }
+
+    /// A machine small enough that every level evicts constantly: 4-set
+    /// L1 (2-way) and L2 (4-way) per core, and a 2-bank, 64-line L3 under
+    /// a 195-line footprint.
+    fn tiny_machine(cores: usize, inclusive: bool) -> Machine {
+        let mut cfg = SystemConfig::scaled(cores);
+        cfg.l1 = crate::CacheConfig { size_bytes: 4 * 2 * 64, ways: 2, latency: 3 };
+        cfg.l2 = crate::CacheConfig { size_bytes: 4 * 4 * 64, ways: 4, latency: 6 };
+        cfg.l3 = crate::CacheConfig { size_bytes: 2 * 4 * 8 * 64, ways: 8, latency: 24 };
+        cfg.l3_banks = 2;
+        cfg.l3_inclusive = inclusive;
+        let mut map = AddressMap::new(cfg.line_bytes);
+        map.add(Region::VertexValue, 8, 1 << 10);
+        map.add(Region::HyperedgeValue, 8, 1 << 9);
+        Machine::new(cfg, map)
+    }
+
+    /// Every presence bit of every line equals `Cache::contains` on the
+    /// cache it stands for, and no core holds a line in L1 without L2.
+    fn check_presence(m: &Machine) -> Result<(), String> {
+        for (li, p) in m.directory.iter().enumerate() {
+            let line = (li as u64) << m.line_shift;
+            if p.l1 & !p.l2 != 0 {
+                return Err(format!(
+                    "line {line:#x}: L1 bits {:#b} outside L2 bits {:#b}",
+                    p.l1, p.l2
+                ));
+            }
+            for core in 0..m.cfg.num_cores {
+                let bit = 1 << core;
+                if (p.l1 & bit != 0) != m.l1[core].contains(line) {
+                    return Err(format!("line {line:#x}: core {core} L1 bit disagrees"));
+                }
+                if (p.l2 & bit != 0) != m.l2[core].contains(line) {
+                    return Err(format!("line {line:#x}: core {core} L2 bit disagrees"));
+                }
+            }
+            if m.in_l3[li] != m.l3_banks[m.bank_of(line)].contains(line) {
+                return Err(format!("line {line:#x}: L3 bit disagrees"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The presence directory stays exact under random streams: 1-4
+        /// cores, L1 and L2 entry, reads and writes, inclusive and
+        /// non-inclusive L3.
+        #[test]
+        fn presence_bits_track_every_cache(
+            cores in 1usize..5,
+            inclusive in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0usize..4, proptest::prelude::any::<bool>(), 0u64..(1 << 10),
+                 proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+                1..300,
+            ),
+        ) {
+            let mut m = tiny_machine(cores, inclusive);
+            for (step, (core, vertex, index, write, engine)) in ops.into_iter().enumerate() {
+                let (region, index) = if vertex {
+                    (Region::VertexValue, index)
+                } else {
+                    (Region::HyperedgeValue, index >> 1)
+                };
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                let entry = if engine { Level::L2 } else { Level::L1 };
+                m.access(core % cores, region, index, kind, entry, step as u64);
+                if let Err(e) = check_presence(&m) {
+                    proptest::prop_assert!(false, "after step {}: {}", step, e);
+                }
+            }
+            m.flush_all_silently();
+            proptest::prop_assert_eq!(check_presence(&m), Ok(()));
+        }
     }
 }
